@@ -13,7 +13,7 @@
 // every base model (paper: up to 26.32% age / 20.37% site), with an
 // accuracy gain that is large for the small models and small-positive for
 // the big ones. (Our synthetic pool's accuracy gains run larger than the
-// paper's — see EXPERIMENTS.md.)
+// paper's.)
 #include "baselines/single_attribute.h"
 #include "bench_util.h"
 #include "core/search.h"

@@ -8,8 +8,7 @@
 // micro-batches on it, MuffinSearch evaluates controller batches on it,
 // and parallel_for (common/parallel_for.h) splits kernel row-blocks over
 // it. It lives in common (not serve) so the tensor layer can partition
-// GEMMs without depending on the serving runtime; serve/thread_pool.h
-// re-exports it as serve::ThreadPool.
+// GEMMs without depending on the serving runtime.
 //
 // Workers are numbered 0..size()-1; current_worker() returns the index of
 // the pool worker executing the current job (or npos outside a worker).

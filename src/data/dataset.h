@@ -6,7 +6,7 @@
 // The difficulty is the shared factor of the Gaussian copula that the
 // calibrated off-the-shelf models use — it models "this lesion is
 // intrinsically ambiguous", which is what makes model errors correlate
-// across architectures (paper Fig. 3). See DESIGN.md §1.
+// across architectures (paper Fig. 3); see models/calibrated.h.
 #pragma once
 
 #include <cstdint>

@@ -101,9 +101,13 @@ tensor::Vector ActivationLayer::forward_inference(
 }
 
 tensor::Matrix ActivationLayer::forward_batch(const tensor::Matrix& input) {
-  MUFFIN_REQUIRE(input.cols() == dim_, "activation batch input size mismatch");
-  last_batch_input_ = input;
-  return forward_batch_inference(input);
+  forward_batch_train_into(input, last_batch_output_);
+  return last_batch_output_;
+}
+
+void ActivationLayer::forward_batch_train_into(const tensor::Matrix& input,
+                                               tensor::Matrix& output) {
+  forward_batch_inference_into(input, output);
 }
 
 void ActivationLayer::forward_batch_inference_into(
@@ -141,45 +145,57 @@ void ActivationLayer::forward_batch_inference_into(
 
 tensor::Matrix ActivationLayer::backward_batch(
     const tensor::Matrix& grad_output) {
+  tensor::Matrix grad_input;
+  tensor::Matrix scratch;
+  backward_batch_from(tensor::Matrix(), last_batch_output_, grad_output,
+                      &grad_input, scratch);
+  return grad_input;
+}
+
+void ActivationLayer::backward_batch_from(const tensor::Matrix& /*input*/,
+                                          const tensor::Matrix& output,
+                                          const tensor::Matrix& grad_output,
+                                          tensor::Matrix* grad_input,
+                                          tensor::Matrix& /*scratch*/) {
   MUFFIN_REQUIRE(grad_output.cols() == dim_,
                  "activation batch gradient size mismatch");
-  MUFFIN_REQUIRE(last_batch_input_.rows() == grad_output.rows() &&
-                     last_batch_input_.cols() == dim_,
+  MUFFIN_REQUIRE(output.rows() == grad_output.rows() && output.cols() == dim_,
                  "batched backward called before forward_batch");
-  tensor::Matrix grad_in;
-  grad_in.resize_for_overwrite(grad_output.rows(), dim_);
+  if (grad_input == nullptr) return;  // no parameters to accumulate
+  grad_input->resize_for_overwrite(grad_output.rows(), dim_);
   const auto g = grad_output.flat();
-  const auto x = last_batch_input_.flat();
-  auto out = grad_in.flat();
-  // Same per-element arithmetic as activate_grad(), switch hoisted.
+  const auto y = output.flat();
+  auto out = grad_input->flat();
+  // activate_grad()'s arithmetic on the forward's output, switch hoisted.
+  // The ReLU-family slopes are looked up by the sign test rather than
+  // branched on: the sign of a hidden unit is a coin flip per element.
+  static constexpr double kReluSlopes[2] = {0.0, 1.0};
+  static constexpr double kLeakySlopes[2] = {kLeakySlope, 1.0};
   switch (kind_) {
     case Activation::Identity:
       std::copy(g.begin(), g.end(), out.begin());
       break;
     case Activation::Relu:
       for (std::size_t i = 0; i < g.size(); ++i) {
-        out[i] = g[i] * (x[i] > 0.0 ? 1.0 : 0.0);
+        out[i] = g[i] * kReluSlopes[y[i] > 0.0];
       }
       break;
     case Activation::LeakyRelu:
       for (std::size_t i = 0; i < g.size(); ++i) {
-        out[i] = g[i] * (x[i] > 0.0 ? 1.0 : kLeakySlope);
+        out[i] = g[i] * kLeakySlopes[y[i] > 0.0];
       }
       break;
     case Activation::Tanh:
       for (std::size_t i = 0; i < g.size(); ++i) {
-        const double t = std::tanh(x[i]);
-        out[i] = g[i] * (1.0 - t * t);
+        out[i] = g[i] * (1.0 - y[i] * y[i]);
       }
       break;
     case Activation::Sigmoid:
       for (std::size_t i = 0; i < g.size(); ++i) {
-        const double s = 1.0 / (1.0 + std::exp(-x[i]));
-        out[i] = g[i] * (s * (1.0 - s));
+        out[i] = g[i] * (y[i] * (1.0 - y[i]));
       }
       break;
   }
-  return grad_in;
 }
 
 tensor::Vector ActivationLayer::backward(std::span<const double> grad_output) {

@@ -35,6 +35,19 @@ class ActivationLayer final : public Layer {
       std::span<const double> input) const override;
   tensor::Matrix forward_batch(const tensor::Matrix& input) override;
   tensor::Matrix backward_batch(const tensor::Matrix& grad_output) override;
+  void forward_batch_train_into(const tensor::Matrix& input,
+                                tensor::Matrix& output) override;
+  /// Reads the derivative off the forward's `output` instead of
+  /// recomputing it from the input: tanh' = 1 - t^2 and sigmoid' =
+  /// s (1 - s) use the very t and s the forward produced (the same libm
+  /// calls on the same inputs), and y > 0 exactly when x > 0 for both ReLU
+  /// kinds, so gradients are bit-identical to activate_grad(). `input` and
+  /// `scratch` are unused.
+  void backward_batch_from(const tensor::Matrix& input,
+                           const tensor::Matrix& output,
+                           const tensor::Matrix& grad_output,
+                           tensor::Matrix* grad_input,
+                           tensor::Matrix& scratch) override;
   void forward_batch_inference_into(const tensor::Matrix& input,
                                     tensor::Matrix& output) const override;
   [[nodiscard]] std::unique_ptr<Layer> clone() const override {
@@ -48,7 +61,7 @@ class ActivationLayer final : public Layer {
   Activation kind_;
   std::size_t dim_;
   tensor::Vector last_input_;
-  tensor::Matrix last_batch_input_;  ///< forward_batch cache for backward
+  tensor::Matrix last_batch_output_;  ///< forward_batch cache for backward
 };
 
 }  // namespace muffin::nn

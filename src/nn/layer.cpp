@@ -1,6 +1,7 @@
 #include "nn/layer.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/error.h"
 
@@ -17,6 +18,20 @@ tensor::Matrix Layer::forward_batch(const tensor::Matrix& input) {
 
 tensor::Matrix Layer::backward_batch(const tensor::Matrix& /*grad_output*/) {
   throw Error("layer does not implement batched backward");
+}
+
+void Layer::forward_batch_train_into(const tensor::Matrix& input,
+                                     tensor::Matrix& output) {
+  output = forward_batch(input);
+}
+
+void Layer::backward_batch_from(const tensor::Matrix& /*input*/,
+                                const tensor::Matrix& /*output*/,
+                                const tensor::Matrix& grad_output,
+                                tensor::Matrix* grad_input,
+                                tensor::Matrix& /*scratch*/) {
+  tensor::Matrix grad = backward_batch(grad_output);
+  if (grad_input != nullptr) *grad_input = std::move(grad);
 }
 
 tensor::Matrix Layer::forward_batch_inference(

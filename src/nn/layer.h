@@ -53,6 +53,30 @@ class Layer {
   /// forward_batch on the same batch. The base implementation throws.
   virtual tensor::Matrix backward_batch(const tensor::Matrix& grad_output);
 
+  /// Tape-based training step, the form Mlp's BatchTape drives: the caller
+  /// keeps each layer's input and output batches alive between the two
+  /// calls, so the layer caches nothing and a warm step allocates nothing.
+  /// Bit-identical to forward_batch/backward_batch.
+  ///
+  /// Writes this layer's training-forward output for `input` into
+  /// `output`, which must not alias `input`. The base implementation
+  /// forwards to forward_batch.
+  virtual void forward_batch_train_into(const tensor::Matrix& input,
+                                        tensor::Matrix& output);
+
+  /// Accumulates parameter gradients for the batch whose training forward
+  /// saw `input` and produced `output`, exactly as backward_batch would,
+  /// and writes dLoss/dInput rows into `*grad_input` — or skips that
+  /// product when `grad_input` is null (nothing reads a first layer's
+  /// input gradient). `grad_input` must not alias `grad_output`;
+  /// `scratch` is caller-owned working storage. The base implementation
+  /// forwards to backward_batch.
+  virtual void backward_batch_from(const tensor::Matrix& input,
+                                   const tensor::Matrix& output,
+                                   const tensor::Matrix& grad_output,
+                                   tensor::Matrix* grad_input,
+                                   tensor::Matrix& scratch);
+
   /// Const, cache-free batched forward (inference only). The base
   /// implementation loops forward_inference row by row.
   [[nodiscard]] virtual tensor::Matrix forward_batch_inference(

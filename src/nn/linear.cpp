@@ -185,13 +185,18 @@ tensor::Vector Linear::forward_inference(std::span<const double> input) const {
 }
 
 tensor::Matrix Linear::forward_batch(const tensor::Matrix& input) {
+  tensor::Matrix out;
+  forward_batch_train_into(input, out);
+  last_batch_input_ = input;
+  return out;
+}
+
+void Linear::forward_batch_train_into(const tensor::Matrix& input,
+                                      tensor::Matrix& output) {
   require_trainable("forward_batch");
   MUFFIN_REQUIRE(input.cols() == in_dim_, "linear batch input size mismatch");
   invalidate_pack();  // see forward(): ParamView writes are invisible here
-  last_batch_input_ = input;
-  tensor::Matrix out;
-  tensor::matmul_transposed_b_bias_into(input, weights_, bias_, out);
-  return out;
+  tensor::matmul_transposed_b_bias_into(input, weights_, bias_, output);
 }
 
 void Linear::forward_batch_inference_into(const tensor::Matrix& input,
@@ -209,44 +214,38 @@ void Linear::forward_batch_inference_into(const tensor::Matrix& input,
 }
 
 tensor::Matrix Linear::backward_batch(const tensor::Matrix& grad_output) {
+  tensor::Matrix grad_input;
+  tensor::Matrix scratch;
+  backward_batch_from(last_batch_input_, tensor::Matrix(), grad_output,
+                      &grad_input, scratch);
+  return grad_input;
+}
+
+void Linear::backward_batch_from(const tensor::Matrix& input,
+                                 const tensor::Matrix& /*output*/,
+                                 const tensor::Matrix& grad_output,
+                                 tensor::Matrix* grad_input,
+                                 tensor::Matrix& scratch) {
   require_trainable("backward_batch");
   MUFFIN_REQUIRE(grad_output.cols() == out_dim_,
                  "linear batch gradient size mismatch");
-  MUFFIN_REQUIRE(last_batch_input_.rows() == grad_output.rows() &&
-                     last_batch_input_.cols() == in_dim_,
+  MUFFIN_REQUIRE(input.rows() == grad_output.rows() && input.cols() == in_dim_,
                  "batched backward called before forward_batch");
   const std::size_t n = grad_output.rows();
-  // Parameter gradients: rows accumulate in ascending sample order, and the
-  // zero-gradient skip matches the per-sample backward exactly, so the
-  // accumulated values are bit-identical to a per-sample loop.
   for (std::size_t r = 0; r < n; ++r) {
     const auto g = grad_output.row(r);
-    const auto x = last_batch_input_.row(r);
-    for (std::size_t i = 0; i < out_dim_; ++i) {
-      bias_grad_[i] += g[i];
-      const double gi = g[i];
-      if (gi == 0.0) continue;
-      for (std::size_t j = 0; j < in_dim_; ++j) {
-        weight_grad_(i, j) += gi * x[j];
-      }
-    }
+    for (std::size_t i = 0; i < out_dim_; ++i) bias_grad_[i] += g[i];
   }
-  // Input gradients: G W, one matvec_transposed per row (i-ascending
-  // accumulation, zero skips included — the per-sample order).
-  tensor::Matrix grad_input(n, in_dim_);
-  for (std::size_t r = 0; r < n; ++r) {
-    const auto g = grad_output.row(r);
-    auto out_row = grad_input.row(r);
-    for (std::size_t i = 0; i < out_dim_; ++i) {
-      const double gi = g[i];
-      if (gi == 0.0) continue;
-      const auto w_row = weights_.row(i);
-      for (std::size_t j = 0; j < in_dim_; ++j) {
-        out_row[j] += w_row[j] * gi;
-      }
-    }
-  }
-  return grad_input;
+  // weight_grad(i, j) += sum_r g(r, i) x(r, j): G^T as the kernel's A makes
+  // k the sample index, so terms add in ascending sample order and a zero
+  // g(r, i) is skipped — the per-sample backward's order and skip.
+  tensor::transpose_into(grad_output, scratch);
+  tensor::matmul_accumulate_serial(scratch, input, weight_grad_);
+  if (grad_input == nullptr) return;
+  // grad_input(r, j) = sum_i g(r, i) w(i, j), i ascending with the same
+  // skip: matvec_transposed per row, as a single product.
+  grad_input->resize(n, in_dim_);
+  tensor::matmul_accumulate_serial(grad_output, weights_, *grad_input);
 }
 
 std::unique_ptr<Layer> Linear::clone() const {

@@ -68,6 +68,19 @@ class Linear final : public Layer {
   /// the input gradients (G W), summing rows in ascending order so the
   /// result is bit-identical to a per-sample forward/backward loop.
   tensor::Matrix backward_batch(const tensor::Matrix& grad_output) override;
+  void forward_batch_train_into(const tensor::Matrix& input,
+                                tensor::Matrix& output) override;
+  /// Both products run through the matmul kernel on the calling thread:
+  /// weight gradients as G^T X accumulated into the running sums, input
+  /// gradients as G W into a zeroed buffer, and bias gradients as column
+  /// sums of G. Each keeps the per-sample loop's ascending row order and
+  /// its g == 0.0 skip, so the results are bit-identical to it. `scratch`
+  /// holds G^T; `output` is unused.
+  void backward_batch_from(const tensor::Matrix& input,
+                           const tensor::Matrix& output,
+                           const tensor::Matrix& grad_output,
+                           tensor::Matrix* grad_input,
+                           tensor::Matrix& scratch) override;
   void forward_batch_inference_into(const tensor::Matrix& input,
                                     tensor::Matrix& output) const override;
   [[nodiscard]] std::unique_ptr<Layer> clone() const override;

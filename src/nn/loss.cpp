@@ -13,7 +13,22 @@ void require_shapes(std::span<const double> prediction,
   MUFFIN_REQUIRE(prediction.size() == target.size() && !prediction.empty(),
                  "loss requires matching non-empty prediction/target");
 }
+void require_shapes(std::span<const double> prediction,
+                    std::span<const double> target,
+                    std::span<const double> grad) {
+  require_shapes(prediction, target);
+  MUFFIN_REQUIRE(grad.size() == prediction.size(),
+                 "loss gradient size must match the prediction");
+}
 }  // namespace
+
+tensor::Vector Loss::gradient(std::span<const double> prediction,
+                              std::span<const double> target,
+                              double weight) const {
+  tensor::Vector grad(prediction.size());
+  gradient_into(prediction, target, weight, grad);
+  return grad;
+}
 
 double WeightedMse::value(std::span<const double> prediction,
                           std::span<const double> target,
@@ -27,16 +42,14 @@ double WeightedMse::value(std::span<const double> prediction,
   return weight * acc / static_cast<double>(prediction.size());
 }
 
-tensor::Vector WeightedMse::gradient(std::span<const double> prediction,
-                                     std::span<const double> target,
-                                     double weight) const {
-  require_shapes(prediction, target);
+void WeightedMse::gradient_into(std::span<const double> prediction,
+                                std::span<const double> target, double weight,
+                                std::span<double> grad) const {
+  require_shapes(prediction, target, grad);
   const double scale = 2.0 * weight / static_cast<double>(prediction.size());
-  tensor::Vector grad(prediction.size());
   for (std::size_t i = 0; i < prediction.size(); ++i) {
     grad[i] = scale * (prediction[i] - target[i]);
   }
-  return grad;
 }
 
 double WeightedCrossEntropy::value(std::span<const double> prediction,
@@ -52,17 +65,15 @@ double WeightedCrossEntropy::value(std::span<const double> prediction,
   return weight * acc;
 }
 
-tensor::Vector WeightedCrossEntropy::gradient(
-    std::span<const double> prediction, std::span<const double> target,
-    double weight) const {
-  require_shapes(prediction, target);
-  tensor::Vector grad(prediction.size(), 0.0);
+void WeightedCrossEntropy::gradient_into(std::span<const double> prediction,
+                                         std::span<const double> target,
+                                         double weight,
+                                         std::span<double> grad) const {
+  require_shapes(prediction, target, grad);
   for (std::size_t i = 0; i < prediction.size(); ++i) {
-    if (target[i] != 0.0) {
-      grad[i] = -weight * target[i] / (prediction[i] + kEps);
-    }
+    grad[i] = target[i] != 0.0 ? -weight * target[i] / (prediction[i] + kEps)
+                               : 0.0;
   }
-  return grad;
 }
 
 }  // namespace muffin::nn

@@ -21,9 +21,14 @@ class Loss {
                                      std::span<const double> target,
                                      double weight) const = 0;
   /// dLoss/dPrediction for one weighted sample.
-  [[nodiscard]] virtual tensor::Vector gradient(
-      std::span<const double> prediction, std::span<const double> target,
-      double weight) const = 0;
+  [[nodiscard]] tensor::Vector gradient(std::span<const double> prediction,
+                                        std::span<const double> target,
+                                        double weight) const;
+  /// gradient() written into caller-owned storage of the prediction's
+  /// size (the training loop's allocation-free form).
+  virtual void gradient_into(std::span<const double> prediction,
+                             std::span<const double> target, double weight,
+                             std::span<double> grad) const = 0;
 };
 
 /// Eq. 2: L = w[g] * mean_i (f'(x)_i - y_i)^2.
@@ -32,9 +37,9 @@ class WeightedMse final : public Loss {
   [[nodiscard]] double value(std::span<const double> prediction,
                              std::span<const double> target,
                              double weight) const override;
-  [[nodiscard]] tensor::Vector gradient(std::span<const double> prediction,
-                                        std::span<const double> target,
-                                        double weight) const override;
+  void gradient_into(std::span<const double> prediction,
+                     std::span<const double> target, double weight,
+                     std::span<double> grad) const override;
 };
 
 /// Cost-sensitive cross-entropy on probability outputs:
@@ -44,9 +49,9 @@ class WeightedCrossEntropy final : public Loss {
   [[nodiscard]] double value(std::span<const double> prediction,
                              std::span<const double> target,
                              double weight) const override;
-  [[nodiscard]] tensor::Vector gradient(std::span<const double> prediction,
-                                        std::span<const double> target,
-                                        double weight) const override;
+  void gradient_into(std::span<const double> prediction,
+                     std::span<const double> target, double weight,
+                     std::span<double> grad) const override;
 };
 
 }  // namespace muffin::nn

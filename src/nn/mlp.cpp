@@ -143,6 +143,38 @@ tensor::Matrix Mlp::backward_batch(const tensor::Matrix& grad_output) {
   return current;
 }
 
+const tensor::Matrix& Mlp::forward_batch(const tensor::Matrix& input,
+                                         BatchTape& tape) {
+  MUFFIN_REQUIRE(input.cols() == spec_.input_dim,
+                 "MLP batch input size mismatch");
+  tape.input = &input;
+  tape.outputs.resize(layers_.size());
+  const tensor::Matrix* source = &input;
+  for (std::size_t l = 0; l < layers_.size(); ++l) {
+    layers_[l]->forward_batch_train_into(*source, tape.outputs[l]);
+    source = &tape.outputs[l];
+  }
+  return tape.outputs.back();
+}
+
+void Mlp::backward_batch(const tensor::Matrix& grad_output, BatchTape& tape) {
+  MUFFIN_REQUIRE(grad_output.cols() == spec_.output_dim,
+                 "MLP batch gradient size mismatch");
+  MUFFIN_REQUIRE(tape.input != nullptr && tape.outputs.size() == layers_.size(),
+                 "batched backward called before forward_batch");
+  // Gradients ping-pong between the tape's two buffers; layer 0 gets no
+  // destination, so it accumulates its parameter gradients only.
+  const tensor::Matrix* grad = &grad_output;
+  for (std::size_t l = layers_.size(); l-- > 0;) {
+    const tensor::Matrix& input = l == 0 ? *tape.input : tape.outputs[l - 1];
+    tensor::Matrix* grad_input = nullptr;
+    if (l > 0) grad_input = grad == &tape.grad ? &tape.grad_next : &tape.grad;
+    layers_[l]->backward_batch_from(input, tape.outputs[l], *grad, grad_input,
+                                    tape.scratch);
+    grad = grad_input;
+  }
+}
+
 tensor::Matrix Mlp::forward_batch_inference(const tensor::Matrix& input) const {
   MUFFIN_REQUIRE(input.cols() == spec_.input_dim,
                  "MLP batch input size mismatch");

@@ -71,6 +71,30 @@ class Mlp {
   /// Batched backward; accumulates parameter gradients (summed in ascending
   /// row order, matching a per-sample loop) and returns input gradients.
   tensor::Matrix backward_batch(const tensor::Matrix& grad_output);
+
+  /// Working storage for tape-based batched training: every layer's output
+  /// batch, which the backward pass reads in place of per-layer caches,
+  /// plus gradient buffers. The caller owns it (nn::train keeps one per
+  /// call) and reuses it across minibatches, so a warm step allocates
+  /// nothing.
+  struct BatchTape {
+    const tensor::Matrix* input = nullptr;  ///< the batch last run forward
+    std::vector<tensor::Matrix> outputs;    ///< outputs[l]: layer l's output
+    tensor::Matrix grad;
+    tensor::Matrix grad_next;
+    tensor::Matrix scratch;
+  };
+  /// Tape-based training forward; returns the network output, which lives
+  /// in `tape` until its next forward. `input` must outlive the matching
+  /// backward. Bit-identical to forward_batch(input).
+  const tensor::Matrix& forward_batch(const tensor::Matrix& input,
+                                      BatchTape& tape);
+  /// Tape-based training backward for the batch last run through `tape`:
+  /// accumulates the parameter gradients backward_batch(grad_output)
+  /// would, bit for bit, but skips the first layer's input gradient, which
+  /// training never reads.
+  void backward_batch(const tensor::Matrix& grad_output, BatchTape& tape);
+
   /// Const, cache-free batched forward — the serving path.
   [[nodiscard]] tensor::Matrix forward_batch_inference(
       const tensor::Matrix& input) const;

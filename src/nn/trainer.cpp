@@ -4,7 +4,6 @@
 #include <numeric>
 
 #include "common/error.h"
-#include "tensor/ops.h"
 
 namespace muffin::nn {
 
@@ -38,9 +37,13 @@ double train(Mlp& mlp, const TrainingSet& data, const Loss& loss,
   std::iota(order.begin(), order.end(), 0);
   auto params = mlp.params();
 
-  // Scratch reused across minibatches: gathered inputs and loss gradients.
+  // Scratch reused across minibatches, so a warm step allocates nothing:
+  // gathered inputs, the layer tape, loss gradients and a one-hot target
+  // whose single 1.0 is set and cleared per sample.
   tensor::Matrix batch_features;
+  Mlp::BatchTape tape;
   tensor::Matrix batch_grads;
+  tensor::Vector target(data.num_classes, 0.0);
 
   double epoch_loss = 0.0;
   for (std::size_t epoch = 0; epoch < config.epochs; ++epoch) {
@@ -60,22 +63,22 @@ double train(Mlp& mlp, const TrainingSet& data, const Loss& loss,
         const auto src = data.features.row(order[cursor + b]);
         std::copy(src.begin(), src.end(), batch_features.row(b).begin());
       }
-      const tensor::Matrix predictions = mlp.forward_batch(batch_features);
+      const tensor::Matrix& predictions =
+          mlp.forward_batch(batch_features, tape);
 
       // Per-sample losses and gradients, in batch order — the loss itself
       // is row-local, so this stays bit-identical to the per-sample loop.
       batch_grads.resize_for_overwrite(batch_size, data.num_classes);
       for (std::size_t b = 0; b < batch_size; ++b) {
         const std::size_t idx = order[cursor + b];
-        const tensor::Vector target =
-            tensor::one_hot(data.labels[idx], data.num_classes);
+        const double weight = data.weights[idx];
         const auto prediction = predictions.row(b);
-        loss_sum += loss.value(prediction, target, data.weights[idx]);
-        const tensor::Vector grad =
-            loss.gradient(prediction, target, data.weights[idx]);
-        std::copy(grad.begin(), grad.end(), batch_grads.row(b).begin());
+        target[data.labels[idx]] = 1.0;
+        loss_sum += loss.value(prediction, target, weight);
+        loss.gradient_into(prediction, target, weight, batch_grads.row(b));
+        target[data.labels[idx]] = 0.0;
       }
-      mlp.backward_batch(batch_grads);
+      mlp.backward_batch(batch_grads, tape);
       optimizer.step(params, batch_size);
       cursor = batch_end;
     }

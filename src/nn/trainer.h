@@ -38,8 +38,9 @@ struct TrainerConfig {
 
 /// Runs mini-batch gradient descent of `loss` over `data`; returns the mean
 /// loss of the final epoch. Each minibatch runs as one batched
-/// forward/backward (per-layer GEMM via Mlp::forward_batch/backward_batch);
-/// gradients and trained weights are bit-identical to a per-sample loop.
+/// forward/backward through an Mlp::BatchTape kept for the call (per-layer
+/// GEMMs, no allocation once warm); gradients and trained weights are
+/// bit-identical to a per-sample Mlp::forward/backward loop.
 double train(Mlp& mlp, const TrainingSet& data, const Loss& loss,
              Optimizer& optimizer, const TrainerConfig& config,
              SplitRng& rng);

@@ -244,8 +244,9 @@ std::uint64_t InferenceEngine::swap_model(
 std::shared_ptr<const nn::Mlp> InferenceEngine::head_for(
     std::size_t worker, const ModelSnapshot& snapshot) {
   HeadSlot& slot =
-      *head_slots_[worker == ThreadPool::npos ? 0
-                                              : worker % head_slots_.size()];
+      *head_slots_[worker == common::ThreadPool::npos
+                        ? 0
+                        : worker % head_slots_.size()];
   const std::lock_guard<std::mutex> lock(slot.mutex);
   if (slot.version == snapshot.version) return slot.head;
   if (slot.version < snapshot.version) {
@@ -395,7 +396,7 @@ void InferenceEngine::process_batch(std::vector<Request> batch) {
       // construction: fuse_gathered_batch rows match core::fuse_gathered,
       // and worker heads are value copies of the pinned version's head.
       const std::shared_ptr<const nn::Mlp> head =
-          head_for(ThreadPool::current_worker(), *pinned);
+          head_for(common::ThreadPool::current_worker(), *pinned);
       core::FusedBatch fused = [&]() {
         const obs::TraceSpan span("serve.fuse", any_traced);
         return core::fuse_gathered_batch(gathered, *head, body_size,

@@ -64,11 +64,11 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/thread_pool.h"
 #include "core/fused.h"
 #include "serve/batcher.h"
 #include "serve/model_registry.h"
 #include "serve/stats.h"
-#include "serve/thread_pool.h"
 #include "tensor/quant.h"
 
 namespace muffin::serve {
@@ -269,7 +269,7 @@ class InferenceEngine {
   EngineConfig config_;
   std::size_t num_classes_;
 
-  ThreadPool& pool_;  ///< the shared process-wide pool (never owned)
+  common::ThreadPool& pool_;  ///< the shared process-wide pool (never owned)
   Batcher<Request> batcher_;
   /// One slot per budgeted worker (min(pool size, config.workers));
   /// unique_ptr because slots hold a mutex and the vector is sized once.

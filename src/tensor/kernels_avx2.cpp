@@ -18,6 +18,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 
 #include "tensor/aligned.h"
 #include "tensor/kernels_pack.h"
@@ -28,12 +29,64 @@ namespace muffin::tensor::detail {
 
 namespace {
 
+/// Narrow-width path (4 * (V - 1) < m <= 4 * V): the C row lives in V
+/// accumulators for the whole k loop, loaded and stored once. The last
+/// vector is masked to the row's tail (vmaskmovpd: masked lanes load +0.0
+/// and are never stored); the a(i,k) == 0.0 skip is the scalar kernel's.
+template <std::size_t V>
+void matmul_avx2_narrow(const double* a, std::size_t lda, const double* b,
+                        std::size_t ldb, double* out, std::size_t ldo,
+                        std::size_t n, std::size_t depth, std::size_t m) {
+  constexpr std::size_t kLast = 4 * (V - 1);
+  const auto live = static_cast<long long>(m - kLast);  // in [1, 4]
+  const __m256i tail = _mm256_set_epi64x(live > 3 ? -1 : 0, live > 2 ? -1 : 0,
+                                         live > 1 ? -1 : 0, -1);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double* ai = a + i * lda;
+    double* ci = out + i * ldo;
+    __m256d acc[V];
+    for (std::size_t v = 0; v + 1 < V; ++v) {
+      acc[v] = _mm256_loadu_pd(ci + 4 * v);
+    }
+    acc[V - 1] = _mm256_maskload_pd(ci + kLast, tail);
+    for (std::size_t k = 0; k < depth; ++k) {
+      const double aik = ai[k];
+      if (aik == 0.0) continue;
+      const double* bk = b + k * ldb;
+      const __m256d va = _mm256_set1_pd(aik);
+      for (std::size_t v = 0; v + 1 < V; ++v) {
+        acc[v] = _mm256_add_pd(
+            acc[v], _mm256_mul_pd(va, _mm256_loadu_pd(bk + 4 * v)));
+      }
+      acc[V - 1] = _mm256_add_pd(
+          acc[V - 1], _mm256_mul_pd(va, _mm256_maskload_pd(bk + kLast, tail)));
+    }
+    for (std::size_t v = 0; v + 1 < V; ++v) {
+      _mm256_storeu_pd(ci + 4 * v, acc[v]);
+    }
+    _mm256_maskstore_pd(ci + kLast, tail, acc[V - 1]);
+  }
+}
+
 /// i-k-j with the scalar kernel's 128-column tile and a(i,k) == 0.0 skip;
 /// only the innermost contiguous j sweep is vectorized (4 columns per
-/// vmulpd/vaddpd). `out` must be pre-zeroed; the kernel accumulates.
+/// vmulpd/vaddpd). The kernel accumulates into `out`. Widths up to
+/// kMatmulRegisterWidth take the register path above.
 void matmul_avx2(const double* a, std::size_t lda, const double* b,
                  std::size_t ldb, double* out, std::size_t ldo,
                  std::size_t n, std::size_t depth, std::size_t m) {
+  using Narrow = void (*)(const double*, std::size_t, const double*,
+                          std::size_t, double*, std::size_t, std::size_t,
+                          std::size_t, std::size_t);
+  static constexpr Narrow kNarrow[] = {
+      matmul_avx2_narrow<1>, matmul_avx2_narrow<2>, matmul_avx2_narrow<3>,
+      matmul_avx2_narrow<4>, matmul_avx2_narrow<5>, matmul_avx2_narrow<6>};
+  static_assert(std::size(kNarrow) * 4 == kMatmulRegisterWidth);
+  if (m == 0) return;
+  if (m <= kMatmulRegisterWidth) {
+    kNarrow[(m - 1) / 4](a, lda, b, ldb, out, ldo, n, depth, m);
+    return;
+  }
   constexpr std::size_t kColTile = 128;
   for (std::size_t i = 0; i < n; ++i) {
     const double* ai = a + i * lda;

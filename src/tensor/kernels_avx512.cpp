@@ -21,6 +21,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 
 #include "tensor/aligned.h"
 #include "tensor/kernels_pack.h"
@@ -31,11 +32,62 @@ namespace muffin::tensor::detail {
 
 namespace {
 
+/// Narrow-width path (8 * (V - 1) < m <= 8 * V): the C row lives in V
+/// accumulators for the whole k loop, loaded and stored once. The last
+/// vector is masked to the row's tail — masked lanes load +0.0 and are
+/// never stored — and the a(i,k) == 0.0 skip is the scalar kernel's.
+template <std::size_t V>
+void matmul_avx512_narrow(const double* a, std::size_t lda, const double* b,
+                          std::size_t ldb, double* out, std::size_t ldo,
+                          std::size_t n, std::size_t depth, std::size_t m) {
+  constexpr std::size_t kLast = 8 * (V - 1);
+  const __mmask8 tail = static_cast<__mmask8>(0xFFu >> (8 * V - m));
+  for (std::size_t i = 0; i < n; ++i) {
+    const double* ai = a + i * lda;
+    double* ci = out + i * ldo;
+    __m512d acc[V];
+    for (std::size_t v = 0; v + 1 < V; ++v) {
+      acc[v] = _mm512_loadu_pd(ci + 8 * v);
+    }
+    acc[V - 1] = _mm512_maskz_loadu_pd(tail, ci + kLast);
+    for (std::size_t k = 0; k < depth; ++k) {
+      const double aik = ai[k];
+      if (aik == 0.0) continue;
+      const double* bk = b + k * ldb;
+      const __m512d va = _mm512_set1_pd(aik);
+      for (std::size_t v = 0; v + 1 < V; ++v) {
+        acc[v] = _mm512_add_pd(
+            acc[v], _mm512_mul_pd(va, _mm512_loadu_pd(bk + 8 * v)));
+      }
+      acc[V - 1] = _mm512_add_pd(
+          acc[V - 1],
+          _mm512_mul_pd(va, _mm512_maskz_loadu_pd(tail, bk + kLast)));
+    }
+    for (std::size_t v = 0; v + 1 < V; ++v) {
+      _mm512_storeu_pd(ci + 8 * v, acc[v]);
+    }
+    _mm512_mask_storeu_pd(ci + kLast, tail, acc[V - 1]);
+  }
+}
+
 /// i-k-j with the scalar kernel's 128-column tile and a(i,k) == 0.0 skip;
-/// the innermost contiguous j sweep runs 8 columns per vector.
+/// the innermost contiguous j sweep runs 8 columns per vector. Widths up
+/// to kMatmulRegisterWidth take the register path above.
 void matmul_avx512(const double* a, std::size_t lda, const double* b,
                    std::size_t ldb, double* out, std::size_t ldo,
                    std::size_t n, std::size_t depth, std::size_t m) {
+  using Narrow = void (*)(const double*, std::size_t, const double*,
+                          std::size_t, double*, std::size_t, std::size_t,
+                          std::size_t, std::size_t);
+  static constexpr Narrow kNarrow[] = {matmul_avx512_narrow<1>,
+                                       matmul_avx512_narrow<2>,
+                                       matmul_avx512_narrow<3>};
+  static_assert(std::size(kNarrow) * 8 == kMatmulRegisterWidth);
+  if (m == 0) return;
+  if (m <= kMatmulRegisterWidth) {
+    kNarrow[(m - 1) / 8](a, lda, b, ldb, out, ldo, n, depth, m);
+    return;
+  }
   constexpr std::size_t kColTile = 128;
   for (std::size_t i = 0; i < n; ++i) {
     const double* ai = a + i * lda;

@@ -15,13 +15,38 @@ namespace muffin::tensor::detail {
 
 namespace {
 
+/// Narrow-width path: the C row accumulates in a local array the
+/// compiler knows aliases neither A nor B, so it stays in registers (and
+/// vectorizes) across the k loop instead of round-tripping through C.
+void matmul_scalar_narrow(const double* a, std::size_t lda, const double* b,
+                          std::size_t ldb, double* out, std::size_t ldo,
+                          std::size_t n, std::size_t depth, std::size_t m) {
+  double acc[kMatmulRegisterWidth];
+  for (std::size_t i = 0; i < n; ++i) {
+    const double* ai = a + i * lda;
+    double* ci = out + i * ldo;
+    std::copy(ci, ci + m, acc);
+    for (std::size_t k = 0; k < depth; ++k) {
+      const double aik = ai[k];
+      if (aik == 0.0) continue;
+      const double* bk = b + k * ldb;
+      for (std::size_t j = 0; j < m; ++j) acc[j] += aik * bk[j];
+    }
+    std::copy(acc, acc + m, ci);
+  }
+}
+
 /// i-k-j with a 128-column tile on B: the inner traversal stays contiguous
 /// for row-major data and the active B/C row segments stay cache-resident
 /// when B is wide. The per-element accumulation order over k is unchanged
-/// by the tiling. `out` must be pre-zeroed (the kernel accumulates).
+/// by the tiling. The kernel accumulates into `out`.
 void matmul_scalar(const double* a, std::size_t lda, const double* b,
                    std::size_t ldb, double* out, std::size_t ldo,
                    std::size_t n, std::size_t depth, std::size_t m) {
+  if (m <= kMatmulRegisterWidth) {
+    matmul_scalar_narrow(a, lda, b, ldb, out, ldo, n, depth, m);
+    return;
+  }
   constexpr std::size_t kColTile = 128;
   for (std::size_t i = 0; i < n; ++i) {
     const double* ai = a + i * lda;

@@ -63,6 +63,16 @@ void matmul_into(const Matrix& a, const Matrix& b, Matrix& out) {
                });
 }
 
+void matmul_accumulate_serial(const Matrix& a, const Matrix& b, Matrix& out) {
+  MUFFIN_REQUIRE(a.cols() == b.rows(), "matmul inner dimensions must match");
+  MUFFIN_REQUIRE(out.rows() == a.rows() && out.cols() == b.cols(),
+                 "matmul accumulator shape must match the product");
+  detail::active_kernels().matmul(a.flat().data(), a.stride(),
+                                  b.flat().data(), b.stride(),
+                                  out.flat().data(), out.stride(), a.rows(),
+                                  a.cols(), b.cols());
+}
+
 Matrix matmul_transposed_b(const Matrix& a, const Matrix& b) {
   Matrix out(a.rows(), b.rows());
   matmul_transposed_b_into(a, b, out);
@@ -194,13 +204,18 @@ Vector matvec_transposed(const Matrix& a, std::span<const double> x) {
 }
 
 Matrix transpose(const Matrix& a) {
-  Matrix out(a.cols(), a.rows());
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    for (std::size_t j = 0; j < a.cols(); ++j) {
-      out(j, i) = a(i, j);
-    }
-  }
+  Matrix out;
+  transpose_into(a, out);
   return out;
+}
+
+void transpose_into(const Matrix& a, Matrix& out) {
+  out.resize_for_overwrite(a.cols(), a.rows());
+  // Output-row-major: contiguous writes, strided reads of a.
+  for (std::size_t j = 0; j < a.cols(); ++j) {
+    const auto out_row = out.row(j);
+    for (std::size_t i = 0; i < a.rows(); ++i) out_row[i] = a(i, j);
+  }
 }
 
 Matrix add(const Matrix& a, const Matrix& b) {

@@ -32,6 +32,13 @@ namespace muffin::tensor {
 [[nodiscard]] Matrix matmul(const Matrix& a, const Matrix& b);
 void matmul_into(const Matrix& a, const Matrix& b, Matrix& out);
 
+/// C += A * B on the calling thread, never split over the worker pool —
+/// the training-step entry for the small per-layer gradient products,
+/// which run inside pool tasks already. Same kernel and bit-identity
+/// contract as matmul_into, accumulating into C's current values (the
+/// a(i,k) == 0.0 skip included). Requires matching shapes.
+void matmul_accumulate_serial(const Matrix& a, const Matrix& b, Matrix& out);
+
 /// C = A * B^T. Requires A.cols() == B.cols(). The batch-scoring workhorse:
 /// a tall-skinny activation matrix (batch x in) against a row-major weight
 /// matrix stored (out x in) multiplies as contiguous row dot products with
@@ -73,6 +80,9 @@ void matmul_transposed_b_bias_quant_into(const Matrix& a,
                                        std::span<const double> x);
 
 [[nodiscard]] Matrix transpose(const Matrix& a);
+/// transpose into caller-owned storage (reuses its capacity); `out` must
+/// not alias `a`.
+void transpose_into(const Matrix& a, Matrix& out);
 
 /// Elementwise matrix ops; shapes must match.
 [[nodiscard]] Matrix add(const Matrix& a, const Matrix& b);

@@ -62,10 +62,16 @@ enum class SimdBackend {
 
 namespace detail {
 
-/// C = A * B accumulated into a pre-zeroed C (row-major, explicit leading
-/// dimensions). Preserves the scalar kernel's semantics exactly: i-k-j
+/// C += A * B (row-major, explicit leading dimensions): the kernel
+/// accumulates into whatever C holds, so callers pre-zero C for a plain
+/// product. Preserves the scalar kernel's semantics exactly: i-k-j
 /// traversal with ascending k per output element and the a(i,k) == 0.0
-/// skip (which matters bit-wise when B holds non-finite values).
+/// skip (which matters bit-wise when B holds non-finite values). Widths
+/// m <= kMatmulRegisterWidth take a register path in every backend: each C
+/// row is loaded once, accumulates across the whole k loop in registers
+/// and is stored once (the training-head shapes are 8-24 wide, where the
+/// per-k load/store of C dominated).
+inline constexpr std::size_t kMatmulRegisterWidth = 24;
 using MatmulFn = void (*)(const double* a, std::size_t lda, const double* b,
                           std::size_t ldb, double* out, std::size_t ldo,
                           std::size_t n, std::size_t depth, std::size_t m);

@@ -1,4 +1,5 @@
-// Ablation tests backing the design decisions documented in DESIGN.md §4:
+// Ablation tests backing the simulation's design decisions
+// (models/calibrated.h, core/search.h):
 // the miscalibration knobs bound head recovery, the fused system respects
 // the union bound, and REINFORCE moves probability mass as advertised.
 #include <gtest/gtest.h>

@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <numeric>
+
 #include "common/error.h"
 #include "nn/loss.h"
 #include "nn/optimizer.h"
+#include "tensor/ops.h"
 
 namespace muffin::nn {
 namespace {
@@ -149,6 +154,100 @@ TEST(Trainer, DeterministicGivenSeeds) {
     return train(mlp, data, loss, optimizer, config, train_rng);
   };
   EXPECT_DOUBLE_EQ(run(data_a), run(data_b));
+}
+
+/// The loop nn::train replaced: one Mlp::forward/backward per record, the
+/// same shuffle stream, loss and optimizer. Returns the final epoch's mean
+/// loss.
+double per_sample_train(Mlp& mlp, const TrainingSet& data, const Loss& loss,
+                        Optimizer& optimizer, const TrainerConfig& config,
+                        SplitRng& rng) {
+  std::vector<std::size_t> order(data.size());
+  std::iota(order.begin(), order.end(), 0);
+  auto params = mlp.params();
+  double epoch_loss = 0.0;
+  for (std::size_t epoch = 0; epoch < config.epochs; ++epoch) {
+    rng.shuffle(order);
+    double loss_sum = 0.0;
+    for (std::size_t cursor = 0; cursor < order.size();
+         cursor += config.batch_size) {
+      const std::size_t end =
+          std::min(cursor + config.batch_size, order.size());
+      mlp.zero_grad();
+      for (std::size_t b = cursor; b < end; ++b) {
+        const std::size_t idx = order[b];
+        const tensor::Vector prediction = mlp.forward(data.features.row(idx));
+        const tensor::Vector target =
+            tensor::one_hot(data.labels[idx], data.num_classes);
+        loss_sum += loss.value(prediction, target, data.weights[idx]);
+        (void)mlp.backward(
+            loss.gradient(prediction, target, data.weights[idx]));
+      }
+      optimizer.step(params, end - cursor);
+    }
+    epoch_loss = loss_sum / static_cast<double>(data.size());
+  }
+  return epoch_loss;
+}
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+TEST(Trainer, MatchesPerSampleReferenceBitwise) {
+  // A head-shaped set: 101 records in minibatches of 16 leaves a ragged
+  // last batch of 5; zero weights give all-zero gradient rows, which the
+  // kernels' zero-skip must treat exactly like the per-sample backward.
+  SplitRng data_rng(21);
+  TrainingSet data;
+  data.num_classes = 8;
+  data.features.resize(101, 16);
+  for (double& v : data.features.flat()) v = data_rng.uniform(0.0, 1.0);
+  for (std::size_t i = 0; i < 101; ++i) {
+    data.labels.push_back(data_rng.index(8));
+    data.weights.push_back(i % 5 == 0 ? 0.0 : data_rng.uniform(0.2, 3.0));
+  }
+  for (const Activation hidden : searchable_activations()) {
+    for (const std::vector<std::size_t>& widths :
+         {std::vector<std::size_t>{18, 12}, std::vector<std::size_t>{}}) {
+      MlpSpec spec;
+      spec.input_dim = 16;
+      spec.hidden_dims = widths;
+      spec.output_dim = 8;
+      spec.hidden_activation = hidden;
+      Mlp batched(spec);
+      SplitRng init_rng(22);
+      batched.init(init_rng);
+      Mlp reference = batched;
+
+      WeightedMse loss;
+      TrainerConfig config;
+      config.epochs = 3;
+      config.batch_size = 16;
+      Adam batched_opt(AdamConfig{.learning_rate = 4e-3});
+      Adam reference_opt(AdamConfig{.learning_rate = 4e-3});
+      SplitRng batched_rng(23);
+      SplitRng reference_rng(23);
+      const double batched_loss =
+          train(batched, data, loss, batched_opt, config, batched_rng);
+      const double reference_loss = per_sample_train(
+          reference, data, loss, reference_opt, config, reference_rng);
+
+      const std::string label = to_string(hidden) + " " + spec.to_string();
+      EXPECT_TRUE(same_bits(batched_loss, reference_loss)) << label;
+      const auto batched_params = batched.params();
+      const auto reference_params = reference.params();
+      ASSERT_EQ(batched_params.size(), reference_params.size());
+      for (std::size_t p = 0; p < batched_params.size(); ++p) {
+        const auto a = batched_params[p].value;
+        const auto b = reference_params[p].value;
+        ASSERT_EQ(a.size(), b.size());
+        EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(double)),
+                  0)
+            << label << " param block " << p;
+      }
+    }
+  }
 }
 
 TEST(Trainer, RejectsMismatchedShapes) {

@@ -1,4 +1,4 @@
-#include "serve/thread_pool.h"
+#include "common/thread_pool.h"
 
 #include <gtest/gtest.h>
 
@@ -9,7 +9,7 @@
 
 #include "common/error.h"
 
-namespace muffin::serve {
+namespace muffin::common {
 namespace {
 
 TEST(ThreadPool, RejectsZeroWorkers) {
@@ -176,4 +176,4 @@ TEST(ThreadPool, ParallelJobsAllComplete) {
 }
 
 }  // namespace
-}  // namespace muffin::serve
+}  // namespace muffin::common

@@ -158,6 +158,55 @@ TEST_F(SimdBackends, MatmulZeroSkipSemanticsMatchOnNonFiniteB) {
   }
 }
 
+TEST_F(SimdBackends, MatmulAccumulatesBitIdenticallyAtEveryWidth) {
+  // Widths 1..32 cover every tail of the register path (m <=
+  // kMatmulRegisterWidth) and the column-tiled path past it. Columns
+  // k % 5 == 2 of A are zero and face inf/NaN rows of B, so only the
+  // zero-skip keeps C finite; random zeros elsewhere face finite B, where
+  // skipping is visible only on C's -0.0 entries. C starts non-zero
+  // because the kernel accumulates into it.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::size_t n = 5;
+  const detail::KernelTable& scalar = detail::scalar_kernels();
+  for (const detail::KernelTable* backend : backends_) {
+    std::uint64_t seed = 1500;
+    for (const std::size_t depth :
+         {std::size_t{1}, std::size_t{7}, std::size_t{128}}) {
+      for (std::size_t m = 1; m <= 32; ++m) {
+        Matrix a = random_matrix(n, depth, seed++, 0.3);
+        Matrix b = random_matrix(depth, m, seed++);
+        Matrix c = random_matrix(n, m, seed++);
+        for (std::size_t k = 2; k < depth; k += 5) {
+          for (std::size_t i = 0; i < n; ++i) a(i, k) = 0.0;
+          for (std::size_t j = 0; j < m; ++j) {
+            b(k, j) = j % 3 == 0 ? inf : (j % 3 == 1 ? -inf : nan);
+          }
+        }
+        for (std::size_t i = 0; i < n; ++i) {
+          for (std::size_t j = 0; j < m; ++j) {
+            if ((i + j) % 4 == 0) c(i, j) = -0.0;
+          }
+        }
+        Matrix out_scalar = c;
+        Matrix out_vector = c;
+        scalar.matmul(a.flat().data(), a.stride(), b.flat().data(),
+                      b.stride(), out_scalar.flat().data(),
+                      out_scalar.stride(), n, depth, m);
+        backend->matmul(a.flat().data(), a.stride(), b.flat().data(),
+                        b.stride(), out_vector.flat().data(),
+                        out_vector.stride(), n, depth, m);
+        EXPECT_TRUE(bitwise_equal(out_scalar.flat(), out_vector.flat()))
+            << backend->name << " m=" << m << " depth=" << depth;
+        for (const double v : out_vector.flat()) {
+          ASSERT_TRUE(std::isfinite(v))
+              << backend->name << " m=" << m << " depth=" << depth;
+        }
+      }
+    }
+  }
+}
+
 TEST_F(SimdBackends, SoftmaxBitIdentical) {
   for (const detail::KernelTable* backend : backends_) {
     for (const std::size_t n :
