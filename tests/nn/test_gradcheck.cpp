@@ -101,6 +101,17 @@ struct MlpCase {
   Activation activation;
 };
 
+// Without this gtest prints the raw bytes of the case, which include the
+// vector's heap pointers, so the CTest names would change on every run.
+void PrintTo(const MlpCase& c, std::ostream* os) {
+  *os << "hidden=";
+  if (c.hidden.empty()) *os << "none";
+  for (std::size_t i = 0; i < c.hidden.size(); ++i) {
+    *os << (i ? "x" : "") << c.hidden[i];
+  }
+  *os << ' ' << to_string(c.activation);
+}
+
 class MlpGradCheck : public ::testing::TestWithParam<MlpCase> {};
 
 TEST_P(MlpGradCheck, EndToEndParameterGradients) {
